@@ -170,7 +170,9 @@ def ssum_like_compress(graph: Graph, *, ratio: float, seed: int = 0) -> Graph:
         graph.symmetric_edges()
         .groupBy("src")
         .agg(F.sort_array(F.collect_set("dst")).alias("nbrs"))
-        .withColumn("sig", F.sha2(F.concat_ws("", "nbrs"), 256))
+        # to_json keeps list boundaries whatever the ids contain:
+        # ["ab", "c"] and ["a", "bc"] get different signatures
+        .withColumn("sig", F.sha2(F.to_json("nbrs"), 256))
         .select(F.col("src").alias("id"), "sig")
     )
     data_sig = graph.nodes.where(F.col("type") == "data").join(sig, "id")

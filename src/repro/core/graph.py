@@ -18,17 +18,24 @@ Term filtering (§II-B): ``build_graph`` creates data nodes from the corpus
 with the smaller number of distinct tokens and keeps, for the other corpus,
 only terms already in the graph. Callers pass corpora in any order;
 ``build_graph`` reorders internally (disable with ``auto_order=False``).
+
+Materialization: every graph stage (build, merge, filter, expand, compress)
+returns a graph whose ``nodes`` and ``edges`` are each ``localCheckpoint``ed
+once, so downstream plans start from stored blocks. ``build_graph``
+tokenizes each corpus once and derives the ordering count, all edges and the
+data nodes from that cached pass. ``Graph.subgraph`` and
+``Graph.without_nodes`` are eager: they checkpoint the kept nodes, cut the
+edges against the stored ids and checkpoint the edges.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from .preprocess import explode_terms
+from .preprocess import TERM_SEP, terms_column
 
 DATA = "data"
 TUPLE = "tuple"
@@ -122,11 +129,6 @@ class Graph:
     edges: DataFrame
     term_corpus: Optional[str] = None
 
-    def cache(self) -> "Graph":
-        self.nodes = self.nodes.cache()
-        self.edges = self.edges.cache()
-        return self
-
     def materialize(self) -> "Graph":
         """Compute the graph eagerly and truncate its logical plan.
 
@@ -140,13 +142,6 @@ class Graph:
         """
         self.nodes = self.nodes.localCheckpoint(eager=True)
         self.edges = self.edges.localCheckpoint(eager=True)
-        return self
-
-    def unpersist(self) -> "Graph":
-        """Release cache blocks if any (no-op for checkpointed stages;
-        their blocks are freed by the ContextCleaner once unreferenced)."""
-        self.nodes.unpersist()
-        self.edges.unpersist()
         return self
 
     def num_nodes(self) -> int:
@@ -197,19 +192,26 @@ class Graph:
         return dict(zip(pdf["src"], (list(n) for n in pdf["nbrs"])))
 
     def subgraph(self, keep_nodes: DataFrame) -> "Graph":
-        """Induced subgraph on ``keep_nodes`` (a DataFrame with column ``id``)."""
-        keep = keep_nodes.select("id").distinct()
-        nodes = self.nodes.join(keep, "id")
-        edges = (
-            self.edges.join(keep.withColumnRenamed("id", "src"), "src")
-            .join(keep.withColumnRenamed("id", "dst"), "dst")
-            .select("src", "dst")
-        )
-        return Graph(nodes, edges, self.term_corpus)
+        """Induced subgraph on ``keep_nodes`` (a DataFrame with column ``id``;
+        ids that are not nodes of this graph are ignored). Eager: the result
+        is materialized."""
+        return self._induced(self.nodes.join(keep_nodes.select("id"), "id", "left_semi"))
 
     def without_nodes(self, drop_nodes: DataFrame) -> "Graph":
-        keep = self.nodes.join(drop_nodes.select("id").distinct(), "id", "left_anti")
-        return self.subgraph(keep)
+        """Induced subgraph without ``drop_nodes``. Eager, like :meth:`subgraph`."""
+        return self._induced(self.nodes.join(drop_nodes.select("id"), "id", "left_anti"))
+
+    def _induced(self, nodes: DataFrame) -> "Graph":
+        # the kept nodes are computed once; both edge cuts read the stored ids
+        nodes = nodes.localCheckpoint(eager=True)
+        ids = nodes.select("id")
+        edges = (
+            self.edges.join(ids.withColumnRenamed("id", "src"), "src", "left_semi")
+            .join(ids.withColumnRenamed("id", "dst"), "dst", "left_semi")
+            .select("src", "dst")
+            .localCheckpoint(eager=True)
+        )
+        return Graph(nodes, edges, self.term_corpus)
 
 
 def canonical_edges(df: DataFrame) -> DataFrame:
@@ -223,54 +225,73 @@ def canonical_edges(df: DataFrame) -> DataFrame:
     )
 
 
-def _doc_terms(corpus, *, max_n: int, do_stem: bool) -> DataFrame:
-    """DataFrame(doc, term) for a corpus, with prefixed metadata doc ids."""
+def _corpus_terms(corpus, *, max_n: int, do_stem: bool) -> DataFrame:
+    """DataFrame(doc, attr, term): the corpus tokenized once.
+
+    ``doc`` is the prefixed metadata doc id. For a table, terms are built
+    per cell value, so n-grams never span two attributes, and ``attr`` names
+    the cell's attribute; ``attr`` is null for text and structured corpora.
+    Rows are not deduplicated: every consumer deduplicates downstream.
+    """
     if corpus.kind == "table":
-        # terms are built per cell value: n-grams never span two attributes
+        cells = [
+            F.struct(F.lit(a).alias("attr"), F.col(a).cast("string").alias("text"))
+            for a in corpus.attr_cols
+        ]
         df = corpus.df.select(
-            F.col(corpus.id_col).cast("string").alias("_raw_id"),
-            F.explode(
-                F.array(*[F.col(c).cast("string") for c in corpus.attr_cols])
-            ).alias("_text"),
+            F.col(corpus.id_col).alias("_raw_id"), F.explode(F.array(*cells)).alias("_cell")
         )
+        attr, text = F.col("_cell.attr"), F.col("_cell.text")
     else:
-        df = corpus.df.select(
-            F.col(corpus.id_col).cast("string").alias("_raw_id"),
-            F.col(corpus.text_col).alias("_text"),
-        )
-    out = explode_terms(df, "_raw_id", "_text", max_n=max_n, do_stem=do_stem)
-    return out.select(
-        F.concat(F.lit(corpus.name + "::"), F.col("_raw_id")).alias("doc"), "term"
+        df = corpus.df.select(F.col(corpus.id_col).alias("_raw_id"), corpus.text_col)
+        attr, text = F.lit(None).cast("string"), F.col(corpus.text_col)
+    return df.select(
+        F.concat(F.lit(corpus.name + "::"), F.col("_raw_id").cast("string")).alias("doc"),
+        attr.alias("attr"),
+        F.explode(terms_column(text, max_n=max_n, do_stem=do_stem)).alias("term"),
     )
 
 
-def _attr_terms(corpus: TableCorpus, *, max_n: int, do_stem: bool) -> DataFrame:
-    """DataFrame(col_node, term): each attribute's active-domain terms."""
-    parts = []
-    for attr in corpus.attr_cols:
-        t = explode_terms(
-            corpus.df.select(F.lit(attr).alias("_attr"), F.col(attr).cast("string").alias("_v")),
-            "_attr",
-            "_v",
-            max_n=max_n,
-            do_stem=do_stem,
-        )
-        parts.append(
-            t.select(
-                F.concat(F.lit(f"col::{corpus.name}::"), F.col("_attr")).alias("col_node"),
-                "term",
-            )
-        )
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.unionByName(p)
-    return out.distinct()
+def _unigram_count(term: Column) -> Column:
+    """Distinct unigrams of a term column (nulls ignored): tokens contain no
+    ``TERM_SEP``, so the unigrams are exactly the terms without it."""
+    return F.countDistinct(F.when(~term.contains(TERM_SEP), term))
 
 
 def distinct_token_count(corpus, *, do_stem: bool = True) -> int:
     """Distinct unigram tokens of a corpus — the §II-B ordering criterion."""
-    return (
-        _doc_terms(corpus, max_n=1, do_stem=do_stem).select("term").distinct().count()
+    terms = _corpus_terms(corpus, max_n=1, do_stem=do_stem)
+    return terms.agg(_unigram_count(F.col("term"))).first()[0]
+
+
+def _meta_nodes(corpus) -> DataFrame:
+    t = {"table": TUPLE, "text": TEXT, "structured": CONCEPT}[corpus.kind]
+    return corpus.df.select(
+        F.concat(F.lit(corpus.name + "::"), F.col(corpus.id_col).cast("string")).alias("id"),
+        F.lit(t).alias("type"),
+        F.lit(corpus.name).alias("corpus"),
+    )
+
+
+def _hierarchy_edges(corpus: StructuredTextCorpus) -> DataFrame:
+    """Parent edges between concept metadata nodes (§II-A).
+
+    The parent id is resolved by joining back on the id column so its
+    physical type (often float, from nullable pandas columns) never leaks
+    into the node id string.
+    """
+    pre = corpus.name + "::"
+    child = corpus.df.select(
+        F.col(corpus.id_col).cast("string").alias("_cid"),
+        F.col(corpus.parent_col).alias("_pref"),
+    ).where(F.col("_pref").isNotNull())
+    parent = corpus.df.select(
+        F.col(corpus.id_col).alias("_pid_raw"),
+        F.col(corpus.id_col).cast("string").alias("_pid"),
+    )
+    return child.join(parent, child["_pref"] == parent["_pid_raw"]).select(
+        F.concat(F.lit(pre), "_cid").alias("src"),
+        F.concat(F.lit(pre), "_pid").alias("dst"),
     )
 
 
@@ -290,35 +311,35 @@ def build_graph(
     tokens plays the role of the *first* set so its terms define the data
     nodes and the other corpus is filtered against them (§II-B). Metadata
     nodes are created for every document of both corpora regardless.
+
+    Each corpus is tokenized once (:func:`_corpus_terms`, cached); the
+    ordering count, the doc-term edges, the column-term edges and the data
+    nodes are all read from that one pass.
     """
-    if auto_order and distinct_token_count(second, do_stem=do_stem) < distinct_token_count(
-        first, do_stem=do_stem
-    ):
-        first, second = second, first
-
-    dt1 = _doc_terms(first, max_n=max_n, do_stem=do_stem).cache()
-    dt2 = _doc_terms(second, max_n=max_n, do_stem=do_stem)
-    if filter_second:
-        dt2 = dt2.join(dt1.select("term").distinct(), "term", "left_semi")
-    dt2 = dt2.cache()
-
-    def _meta_nodes(corpus) -> DataFrame:
-        t = {"table": TUPLE, "text": TEXT, "structured": CONCEPT}[corpus.kind]
-        return corpus.df.select(
-            F.concat(
-                F.lit(corpus.name + "::"), F.col(corpus.id_col).cast("string")
-            ).alias("id"),
-            F.lit(t).alias("type"),
-            F.lit(corpus.name).alias("corpus"),
+    terms1 = _corpus_terms(first, max_n=max_n, do_stem=do_stem).cache()
+    terms2 = _corpus_terms(second, max_n=max_n, do_stem=do_stem).cache()
+    if auto_order:
+        # one aggregation over both corpora's unigrams
+        both = terms1.select(F.lit(1).alias("_side"), "term").unionByName(
+            terms2.select(F.lit(2).alias("_side"), "term")
         )
+        n1, n2 = both.agg(
+            *[_unigram_count(F.when(F.col("_side") == i, F.col("term"))) for i in (1, 2)]
+        ).first()
+        if n2 < n1:
+            first, second, terms1, terms2 = second, first, terms2, terms1
 
+    kept2 = terms2
+    if filter_second:
+        # §II-B: the second corpus keeps only terms of the first; its column
+        # edges are cut by the same join
+        kept2 = terms2.join(terms1.select("term"), "term", "left_semi")
+
+    data_id = F.concat(F.lit(DATA_PREFIX), "term")
     node_parts = [_meta_nodes(first), _meta_nodes(second)]
-    edge_parts = [
-        dt1.select(F.col("doc").alias("src"), F.concat(F.lit(DATA_PREFIX), "term").alias("dst")),
-        dt2.select(F.col("doc").alias("src"), F.concat(F.lit(DATA_PREFIX), "term").alias("dst")),
-    ]
-
-    for corpus in (first, second):
+    edge_parts = []
+    for corpus, terms in ((first, terms1), (second, kept2)):
+        edge_parts.append(terms.select(F.col("doc").alias("src"), data_id.alias("dst")))
         if corpus.kind == "table":
             # a metadata node per attribute, unconditionally (Alg. 1 l. 5-10)
             node_parts.append(
@@ -327,49 +348,19 @@ def build_graph(
                     "id string, type string, corpus string",
                 )
             )
-            at = _attr_terms(corpus, max_n=max_n, do_stem=do_stem)
-            if corpus is second and filter_second:
-                # column-term edges only for terms surviving §II-B filtering
-                at = at.join(dt1.select("term").distinct(), "term", "left_semi")
             edge_parts.append(
-                at.select(
-                    F.col("col_node").alias("src"),
-                    F.concat(F.lit(DATA_PREFIX), "term").alias("dst"),
+                terms.select(
+                    F.concat(F.lit(f"col::{corpus.name}::"), "attr").alias("src"),
+                    data_id.alias("dst"),
                 )
             )
         elif corpus.kind == "structured":
-            # hierarchy edges between concept metadata nodes (§II-A); the
-            # parent id is resolved by joining back on the id column so its
-            # physical type (often float, from nullable pandas columns)
-            # never leaks into the node id string
-            pre = corpus.name + "::"
-            child = corpus.df.select(
-                F.col(corpus.id_col).cast("string").alias("_cid"),
-                F.col(corpus.parent_col).alias("_pref"),
-            ).where(F.col("_pref").isNotNull())
-            parent = corpus.df.select(
-                F.col(corpus.id_col).alias("_pid_raw"),
-                F.col(corpus.id_col).cast("string").alias("_pid"),
-            )
-            hier = child.join(
-                parent, child["_pref"] == parent["_pid_raw"]
-            ).select(
-                F.concat(F.lit(pre), "_cid").alias("src"),
-                F.concat(F.lit(pre), "_pid").alias("dst"),
-            )
-            edge_parts.append(hier)
-
-    data_nodes = (
-        dt1.select("term")
-        .union(dt2.select("term"))
-        .distinct()
-        .select(
-            F.concat(F.lit(DATA_PREFIX), "term").alias("id"),
-            F.lit(DATA).alias("type"),
-            F.lit("").alias("corpus"),
-        )
+            edge_parts.append(_hierarchy_edges(corpus))
+    node_parts.append(
+        terms1.select("term")
+        .unionByName(kept2.select("term"))
+        .select(data_id.alias("id"), F.lit(DATA).alias("type"), F.lit("").alias("corpus"))
     )
-    node_parts.append(data_nodes)
 
     nodes = node_parts[0]
     for p in node_parts[1:]:
@@ -379,8 +370,8 @@ def build_graph(
         edges = edges.unionByName(p)
 
     out = Graph(nodes.distinct(), canonical_edges(edges), first.name).materialize()
-    dt1.unpersist()
-    dt2.unpersist()
+    terms1.unpersist()
+    terms2.unpersist()
     return out
 
 
@@ -399,31 +390,22 @@ def filter_to_term_corpus(graph: Graph, *, kb: Optional[DataFrame] = None) -> Gr
     """
     if graph.term_corpus is None:
         raise ValueError("graph has no recorded term corpus")
-    sym = graph.symmetric_edges()
-    first_meta = graph.metadata_nodes(graph.term_corpus).select("id")
+    first_meta = graph.metadata_nodes(graph.term_corpus).select(F.col("id").alias("src"))
     keep = (
-        sym.join(first_meta.withColumnRenamed("id", "src"), "src", "left_semi")
+        graph.symmetric_edges()
+        .join(first_meta, "src", "left_semi")
         .select(F.col("dst").alias("id"))
-        .distinct()
     )
     if kb is not None:
         kept_terms = keep.where(F.col("id").startswith(DATA_PREFIX)).select(
-            F.expr(f"substring(id, {len(DATA_PREFIX) + 1})").alias("term")
+            F.expr(f"substring(id, {len(DATA_PREFIX) + 1})").alias("object")
         )
         kbe = kb.select("subject", "object")
         kbe = kbe.unionByName(
             kbe.select(F.col("object").alias("subject"), F.col("subject").alias("object"))
         )
-        bridged = (
-            kbe.join(kept_terms.withColumnRenamed("term", "object"), "object", "left_semi")
-            .select(F.concat(F.lit(DATA_PREFIX), "subject").alias("id"))
-            .distinct()
+        bridged = kbe.join(kept_terms, "object", "left_semi").select(
+            F.concat(F.lit(DATA_PREFIX), "subject").alias("id")
         )
-        keep = keep.unionByName(bridged).distinct()
-    keep = keep.unionByName(graph.metadata_nodes().select("id")).distinct()
-    drop = (
-        graph.nodes.where(F.col("type") == DATA)
-        .select("id")
-        .join(keep, "id", "left_anti")
-    )
-    return graph.without_nodes(drop).materialize()
+        keep = keep.unionByName(bridged)
+    return graph.subgraph(keep.unionByName(graph.metadata_nodes().select("id")))

@@ -29,34 +29,30 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from .graph import DATA, DATA_PREFIX, Graph, canonical_edges
-from .preprocess import is_numeric
+from .preprocess import NUMERIC_PATTERN
 
 
 def numeric_terms(graph: Graph) -> DataFrame:
     """Data nodes whose term is numeric: DataFrame(id, value: double)."""
+    term = F.expr(f"substring(id, {len(DATA_PREFIX) + 1})")
+    return graph.nodes.where(
+        (F.col("type") == DATA) & term.rlike(NUMERIC_PATTERN)
+    ).select("id", term.cast("double").alias("value"))
 
-    @F.udf("boolean")
-    def _is_num(term):
-        return is_numeric(term)
 
-    return (
-        graph.nodes.where(F.col("type") == DATA)
-        .select("id", F.expr(f"substring(id, {len(DATA_PREFIX) + 1})").alias("term"))
-        .where(_is_num("term"))
-        .select("id", F.col("term").cast("double").alias("value"))
-    )
+def _fd_stats(values: DataFrame, col: str) -> Tuple[int, Optional[float], Optional[float]]:
+    """(n, min, Freedman–Diaconis width) in one aggregation; the width
+    2·IQR/n^(1/3) uses approximate quartiles and is None if degenerate."""
+    n, lo, q = values.agg(
+        F.count(col), F.min(col), F.percentile_approx(col, [0.25, 0.75], 1000)
+    ).first()
+    iqr = q[1] - q[0] if q else 0.0
+    return n, lo, (2.0 * iqr / (n ** (1.0 / 3.0)) if n >= 2 and iqr > 0 else None)
 
 
 def freedman_diaconis_width(values: DataFrame, col: str = "value") -> Optional[float]:
-    """FD bin width 2·IQR/n^(1/3) via approxQuantile; None if degenerate."""
-    n = values.count()
-    if n < 2:
-        return None
-    q1, q3 = values.approxQuantile(col, [0.25, 0.75], 0.001)
-    iqr = q3 - q1
-    if iqr <= 0:
-        return None
-    return 2.0 * iqr / (n ** (1.0 / 3.0))
+    """FD bin width 2·IQR/n^(1/3) from approximate quartiles; None if degenerate."""
+    return _fd_stats(values, col)[2]
 
 
 def bucket_label(value: float, width: float, origin: float) -> str:
@@ -76,22 +72,19 @@ def merge_numeric_buckets(
     nodes' values. Merging is skipped (graph returned unchanged) when there
     are fewer than two distinct numeric values.
     """
-    nums = numeric_terms(graph).cache()
+    nums = numeric_terms(graph)
+    n, origin, fd_width = _fd_stats(nums, "value")
     if width is None:
-        width = freedman_diaconis_width(nums)
-    if width is None or width <= 0 or nums.count() < 2:
-        nums.unpersist()
+        width = fd_width
+    if width is None or width <= 0 or n < 2:
         return graph, 0
-    origin = nums.agg(F.min("value")).first()[0]
 
     @F.udf("string")
     def _bucket(v):
         return DATA_PREFIX + bucket_label(float(v), float(width), float(origin))
 
     mapping = nums.select(F.col("id").alias("old_id"), _bucket("value").alias("new_id"))
-    out = apply_node_mapping(graph, mapping)
-    nums.unpersist()
-    return out
+    return apply_node_mapping(graph, mapping)
 
 
 def apply_node_mapping(graph: Graph, mapping: DataFrame) -> Tuple[Graph, int]:
@@ -102,7 +95,6 @@ def apply_node_mapping(graph: Graph, mapping: DataFrame) -> Tuple[Graph, int]:
     produced by the merge are dropped by canonicalization.
     """
     mapping = mapping.where(F.col("old_id") != F.col("new_id")).cache()
-    n_before = graph.num_nodes()
 
     def _rewrite(df: DataFrame, col: str) -> DataFrame:
         return (
@@ -120,7 +112,14 @@ def apply_node_mapping(graph: Graph, mapping: DataFrame) -> Tuple[Graph, int]:
     )
     out = Graph(nodes, edges, graph.term_corpus).materialize()
     mapping.unpersist()
-    return out, n_before - out.num_nodes()
+    # #before - #after in one aggregation: +1 per input node, -1 per output
+    removed = (
+        graph.nodes.select(F.lit(1).alias("d"))
+        .unionByName(out.nodes.select(F.lit(-1).alias("d")))
+        .agg(F.sum("d"))
+        .first()[0]
+    )
+    return out, removed or 0
 
 
 def merge_synonyms(graph: Graph, synonyms: DataFrame) -> Tuple[Graph, int]:

@@ -34,7 +34,9 @@ STOPWORDS = frozenset(
 )
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+(?:\.[0-9]+)?")
-_NUMERIC_RE = re.compile(r"^[0-9]+(?:\.[0-9]+)?$")
+# plain integers or decimals; also used as a Spark ``rlike`` pattern
+NUMERIC_PATTERN = r"^[0-9]+(?:\.[0-9]+)?$"
+_NUMERIC_RE = re.compile(NUMERIC_PATTERN)
 
 TERM_SEP = "_"
 

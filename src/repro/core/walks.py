@@ -7,8 +7,10 @@ step the next node is a uniformly random neighbour. Each walk becomes a
 Implementation: the start-node set is a DataFrame replicated ``num_walks``
 times; walk generation runs in ``mapInPandas`` with the adjacency dict
 broadcast (graphs here are small — DESIGN.md layering note). Every walk's
-RNG is seeded from (global seed, start node, walk index), so output is
-deterministic and independent of partitioning.
+RNG is seeded from (global seed, start node, walk index), and walks are
+emitted hash-partitioned and sorted by (start node, walk index), so both the
+walks and their order depend only on the graph's node and edge sets (and
+the session's default parallelism), never on the input's row order.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from typing import Dict, Iterable, List
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from .graph import Graph
@@ -63,5 +65,10 @@ def generate_walks(
                 walks.append(walk_from(a, node, walk_length, rng))
             yield pd.DataFrame({"walk": walks})
 
+    # walk (sentence) order must not follow the graph's physical row order
     n_part = spark.sparkContext.defaultParallelism
-    return starts.repartition(n_part).mapInPandas(gen, "walk array<string>")
+    return (
+        starts.repartition(n_part, "id")
+        .sortWithinPartitions("id", "walk_idx")
+        .mapInPandas(gen, "walk array<string>")
+    )

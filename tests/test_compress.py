@@ -145,3 +145,25 @@ class TestSsum:
         cg = ssum_like_compress(small_graph, ratio=1.0, seed=0)
         # identical-neighbourhood data nodes may merge; edges never grow
         assert cg.num_nodes() <= small_graph.num_nodes()
+
+    def test_signature_keeps_neighbour_boundaries(self, spark):
+        """Data nodes merge only on identical neighbour lists: ["ab", "c"]
+        vs ["a", "bc"] concatenate to the same string without a separator,
+        and ["a\\x01b", "c"] vs ["a", "b\\x01c"] with a \\x01 separator."""
+        pairs = {
+            "d::x": ["ab", "c"],
+            "d::y": ["a", "bc"],
+            "d::p": ["a\x01b", "c"],
+            "d::q": ["a", "b\x01c"],
+        }
+        meta = sorted({m for nbrs in pairs.values() for m in nbrs})
+        nodes = spark.createDataFrame(
+            [(d, "data", "") for d in pairs] + [(m, "tuple", "t") for m in meta],
+            "id string, type string, corpus string",
+        )
+        edges = spark.createDataFrame(
+            [(m, d) for d, nbrs in pairs.items() for m in nbrs], "src string, dst string"
+        )
+        cg = ssum_like_compress(Graph(nodes, edges, "t"), ratio=1.0, seed=0)
+        data = {r["id"] for r in cg.nodes.where(F.col("type") == "data").collect()}
+        assert data == set(pairs)

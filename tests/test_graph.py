@@ -12,8 +12,12 @@ from repro.core.graph import (
     canonical_edges,
     data_node_id,
     distinct_token_count,
+    filter_to_term_corpus,
     term_of,
 )
+from repro.core.merge import merge_synonyms
+from repro.datasets import imdb
+from repro.kb.synth_kb import prepare_synonyms
 
 
 @pytest.fixture(scope="module")
@@ -237,3 +241,28 @@ class TestGraphOps:
         assert term_of(data_node_id("abc_def")) == "abc_def"
         with pytest.raises(ValueError):
             term_of("movies::1")
+
+
+class TestJobBudget:
+    """Spark jobs of build -> merge_synonyms -> filter_to_term_corpus on a
+    small IMDb scenario. The bound is the count measured with single-pass
+    construction (one tokenization per corpus, one materialization per
+    stage); a change that adds a hidden Spark action fails here."""
+
+    MAX_JOBS = 32  # 55 before single-pass construction
+
+    def test_graph_construction_job_budget(self, spark):
+        sc = imdb.generate(spark, scale=0.05, seed=7)
+        synonyms = prepare_synonyms(spark, sc.synonyms)
+        ctx = spark.sparkContext
+        group = "test-graph-construction-job-budget"
+        ctx.setJobGroup(group, group)
+        try:
+            g = build_graph(spark, sc.reviews, sc.movies_wt, filter_second=False)
+            g = merge_synonyms(g, synonyms)[0]
+            filter_to_term_corpus(g)
+        finally:
+            ctx.setLocalProperty("spark.jobGroup.id", None)
+            ctx.setLocalProperty("spark.job.description", None)
+        jobs = len(ctx.statusTracker().getJobIdsForGroup(group))
+        assert 0 < jobs <= self.MAX_JOBS

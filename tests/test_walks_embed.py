@@ -6,12 +6,14 @@ from pyspark.sql import functions as F
 
 from repro.core.embed import mean_pool, train_embeddings, train_token_embeddings
 from repro.core.graph import (
+    Graph,
     TableCorpus,
     TextCorpus,
     build_graph,
     data_node_id,
     filter_to_term_corpus,
 )
+from repro.core.match import top_k_matches
 from repro.core.walks import generate_walks, walk_from
 
 
@@ -64,9 +66,30 @@ class TestGenerateWalks:
                 assert v in adj[u]
 
     def test_deterministic_across_partitionings(self, spark, g):
-        a = sorted(tuple(r["walk"]) for r in generate_walks(g, num_walks=2, walk_length=5, seed=1).collect())
-        b = sorted(tuple(r["walk"]) for r in generate_walks(g, num_walks=2, walk_length=5, seed=1).collect())
-        assert a == b
+        """The same graph with its rows repartitioned and reversed yields the
+        same walks in the same order, hence the same embeddings and ranking."""
+        shuffled = Graph(
+            g.nodes.repartition(3).orderBy(F.col("id").desc()),
+            g.edges.repartition(2).orderBy(F.col("src").desc(), F.col("dst").desc()),
+            g.term_corpus,
+        )
+
+        def walks_and_ranking(graph):
+            walks = generate_walks(graph, num_walks=4, walk_length=6, seed=1).cache()
+            ordered = [tuple(r["walk"]) for r in walks.collect()]
+            emb = train_embeddings(walks, vector_size=8, window=2, seed=0)
+            ranked = top_k_matches(
+                emb.join(graph.doc_nodes("s").select(F.col("id").alias("node")), "node"),
+                emb.join(graph.doc_nodes("t").select(F.col("id").alias("node")), "node"),
+                k=2,
+            ).toPandas()
+            walks.unpersist()
+            return ordered, ranked.sort_values(["query", "rank"]).reset_index(drop=True)
+
+        walks_a, ranked_a = walks_and_ranking(g)
+        walks_b, ranked_b = walks_and_ranking(shuffled)
+        assert walks_a == walks_b
+        pd.testing.assert_frame_equal(ranked_a, ranked_b)
 
     def test_seed_changes_walks(self, g):
         a = sorted(tuple(r["walk"]) for r in generate_walks(g, num_walks=2, walk_length=8, seed=1).collect())
