@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import os
 import sys
-import time
-from typing import Dict, Sequence
+from typing import Dict
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -46,13 +45,6 @@ def ranking_row(method: str, ranked: DataFrame, truth: DataFrame, *, ks=(1, 5, 2
     for k in ks:
         row[f"HasPositive@{k}"] = round(m[f"HasPositive@{k}"], 3)
     return row
-
-
-def timed(fn, *args, **kwargs):
-    """(result, seconds) of fn(*args, **kwargs)."""
-    t0 = time.time()
-    out = fn(*args, **kwargs)
-    return out, time.time() - t0
 
 
 def print_table(title: str, pdf: pd.DataFrame) -> pd.DataFrame:

@@ -24,11 +24,10 @@ from repro.baselines.features import PairFeaturizer
 from repro.baselines.matchers import lbe_match
 from repro.baselines.pretrained import background_model, doc_embeddings
 from repro.baselines.rank import _training_pairs
-from repro.core.embed import train_embeddings, train_token_embeddings
-from repro.core.graph import build_graph, filter_to_term_corpus
+from repro.core.embed import train_token_embeddings
+from repro.core.graph import filter_to_term_corpus
 from repro.core.match import top_k_matches
-from repro.core.merge import merge_synonyms
-from repro.core.walks import generate_walks
+from repro.core.pipeline import TDMatchConfig, embed_graph, match_documents, prepare_graph
 from repro.datasets import audit, claims, corona
 from repro.kb.synth_kb import prepare_synonyms
 
@@ -89,22 +88,18 @@ def _time_sbe(spark, qc, tc) -> Dict[str, float]:
 
 
 def _time_wrw(spark, qc, tc, synonyms, *, window: int) -> Dict[str, float]:
+    cfg = TDMatchConfig(
+        num_walks=N_WALKS, walk_length=WALK_LEN, vector_size=VEC_SIZE, window=window, k=K
+    )
     t0 = time.time()
-    g = build_graph(spark, qc, tc, filter_second=False)
-    if synonyms is not None:
-        g, _ = merge_synonyms(g, synonyms)
-    g = filter_to_term_corpus(g)
-    walks = generate_walks(g, num_walks=N_WALKS, walk_length=WALK_LEN, seed=0).cache()
-    emb = train_embeddings(walks, vector_size=VEC_SIZE, window=window, seed=0).cache()
+    g = filter_to_term_corpus(prepare_graph(spark, qc, tc, synonyms=synonyms))
+    emb = embed_graph(g, cfg)
     _count(emb)
     train = time.time() - t0
 
     t0 = time.time()
-    q = emb.join(g.doc_nodes(qc.name).select(F.col("id").alias("node")), "node")
-    t = emb.join(g.doc_nodes(tc.name).select(F.col("id").alias("node")), "node")
-    n = _count(top_k_matches(q, t, k=K))
+    n = _count(match_documents(emb, g, qc, tc, K))
     test = (time.time() - t0) / max(1, n // K)
-    walks.unpersist()
     emb.unpersist()
     return {"Train": train, "Test": test}
 

@@ -120,8 +120,9 @@ def msp_compress(
     corpora = sorted(docs["corpus"].unique())
     if len(corpora) != 2:
         raise ValueError(f"MSP needs exactly two corpora, got {corpora}")
-    first = list(docs.loc[docs["corpus"] == corpora[0], "id"])
-    second = list(docs.loc[docs["corpus"] == corpora[1], "id"])
+    # sorted: the sampled pairs must not follow the graph's physical row order
+    first = sorted(docs.loc[docs["corpus"] == corpora[0], "id"])
+    second = sorted(docs.loc[docs["corpus"] == corpora[1], "id"])
 
     n_nodes = graph.num_nodes()
     L = max(1, int(beta * n_nodes))

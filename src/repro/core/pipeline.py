@@ -1,21 +1,26 @@
-"""End-to-end TDmatch pipeline (Figure 3): graph -> (merge) -> (expand) ->
-(compress) -> walks -> Word2Vec -> top-k matching.
+"""End-to-end TDmatch pipeline (Figure 3): graph -> (merge) -> filter ->
+(expand) -> (compress) -> walks -> Word2Vec -> top-k matching.
 
-``run_tdmatch`` is the single entry point used by every job/benchmark; the
-paper's method variants map to configs:
+``run_tdmatch`` is the entry point of every table job and of the benchmark;
+the paper's method variants map to configs:
 
 * **W-RW**      — ``TDMatchConfig(expand=False)``
 * **W-RW-EX**   — ``TDMatchConfig(expand=True)`` (+ a KB DataFrame)
 * **MSP(β)**    — ``compress=("msp", β)`` on top of either
 * **SSuM(r)**   — ``compress=("ssum", r)``
 
-The result carries the ranked matches plus the graph-size trail
-(original/expanded/compressed #nodes/#edges) that Table VIII reports.
+It is built from three stage functions that the Table VII and VIII jobs
+call directly: :func:`prepare_graph` (build + merges, the point where the
+variants branch), :func:`embed_graph` (walks + Word2Vec) and
+:func:`match_documents` (top-k over the document nodes). These helpers call
+the per-stage functions by the names this module imports, so a wrapper
+installed on those names (perfbench's tracer) sees every stage of
+``run_tdmatch``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -34,37 +39,83 @@ class TDMatchConfig:
     """Knobs of the pipeline; defaults are scaled-down versions of the
     paper's (100 walks × length 30, dim 300) sized for local Spark."""
 
-    max_n: int = 3
-    do_stem: bool = True
-    filter_second: bool = True
-    auto_order: bool = True
     num_walks: int = 10
     walk_length: int = 12
     vector_size: int = 64
     window: int = 3  # paper: 3 for text-to-data, 15 for text-only
-    w2v_iter: int = 1
     expand: bool = False
-    sink_scope: str = "added"
     compress: Optional[Tuple[str, float]] = None  # ("msp", beta) | ("ssum", r)
     bucket_numeric: bool = False
-    bucket_width: Optional[float] = None
     k: int = 20
     seed: int = 0
-    # graph-size accounting costs extra Spark actions; Table VIII turns it on
-    collect_sizes: bool = False
 
 
 @dataclass
 class TDMatchResult:
     matches: DataFrame  # (query, target, score, rank) with raw doc ids
-    graph_sizes: Dict[str, Tuple[int, int]]  # stage -> (#nodes, #edges)
-    embeddings: DataFrame  # (node, vector) for every graph node
-    graph: Graph
 
 
 def strip_prefix(col, corpus_name: str):
     """Graph doc id ``name::raw`` -> raw document id column."""
     return F.expr(f"substring({col}, {len(corpus_name) + 3})")
+
+
+def prepare_graph(
+    spark: SparkSession,
+    query_corpus,
+    target_corpus,
+    *,
+    synonyms: Optional[DataFrame] = None,
+    bucket_numeric: bool = False,
+) -> Graph:
+    """Unfiltered graph with synonym and numeric-bucket merges applied.
+
+    Merges run before the filter (§II-B): a merge can fuse a second-corpus
+    variant onto a first-corpus term, and the filter must see the merged
+    node, not the raw token stream. The filter itself is left to the caller
+    because it keeps different terms with and without a KB.
+    """
+    graph = build_graph(spark, query_corpus, target_corpus, filter_second=False)
+    if synonyms is not None:
+        graph = merge_synonyms(graph, synonyms)[0]
+    if bucket_numeric:
+        graph = merge_numeric_buckets(graph)[0]
+    return graph
+
+
+def embed_graph(graph: Graph, cfg: TDMatchConfig) -> DataFrame:
+    """Cached (node, vector) embeddings of every node, from random walks.
+
+    The walks are dropped once Word2Vec has fitted; the caller unpersists
+    the embeddings.
+    """
+    walks = generate_walks(
+        graph, num_walks=cfg.num_walks, walk_length=cfg.walk_length, seed=cfg.seed
+    ).cache()
+    emb = train_embeddings(
+        walks, vector_size=cfg.vector_size, window=cfg.window, seed=cfg.seed
+    ).cache()
+    walks.unpersist()
+    return emb
+
+
+def match_documents(
+    emb: DataFrame, graph: Graph, query_corpus, target_corpus, k: int
+) -> DataFrame:
+    """Top-k targets per query document as (query, target, score, rank)
+    with raw document ids."""
+    q_emb = emb.join(
+        graph.doc_nodes(query_corpus.name).select(F.col("id").alias("node")), "node"
+    )
+    t_emb = emb.join(
+        graph.doc_nodes(target_corpus.name).select(F.col("id").alias("node")), "node"
+    )
+    return top_k_matches(q_emb, t_emb, k=k).select(
+        strip_prefix("query", query_corpus.name).alias("query"),
+        strip_prefix("target", target_corpus.name).alias("target"),
+        "score",
+        "rank",
+    )
 
 
 def run_tdmatch(
@@ -83,77 +134,34 @@ def run_tdmatch(
     independent of query direction and handled inside ``build_graph``.
     """
     cfg = config
-    sizes: Dict[str, Tuple[int, int]] = {}
+    if cfg.expand and kb is None:
+        raise ValueError("expand=True requires a KB edge DataFrame")
+    if cfg.compress is not None and cfg.compress[0] not in ("msp", "ssum"):
+        raise ValueError(f"unknown compression {cfg.compress[0]!r}")
 
-    # Build unfiltered, merge variants first, then filter (§II-B): a merge
-    # can fuse a second-corpus variant onto a first-corpus term, and the
-    # filter must see the merged node, not the raw token stream. With a KB
-    # present, filtering also keeps second-corpus terms the KB can bridge
-    # (see filter_to_term_corpus).
     # Every stage function returns a materialized (localCheckpoint'ed)
     # graph, so plans stay flat and stage blocks are freed by the cleaner
-    # once the next stage drops its reference.
-    graph = build_graph(
+    # once the next stage drops its reference. With a KB present, filtering
+    # also keeps second-corpus terms the KB can bridge.
+    graph = prepare_graph(
         spark,
         query_corpus,
         target_corpus,
-        max_n=cfg.max_n,
-        do_stem=cfg.do_stem,
-        filter_second=False,
-        auto_order=cfg.auto_order,
+        synonyms=synonyms,
+        bucket_numeric=cfg.bucket_numeric,
     )
-    if synonyms is not None:
-        graph = merge_synonyms(graph, synonyms)[0]
-    if cfg.bucket_numeric:
-        graph = merge_numeric_buckets(graph, width=cfg.bucket_width)[0]
-    if cfg.filter_second:
-        graph = filter_to_term_corpus(graph, kb=kb if cfg.expand else None)
-    if cfg.collect_sizes:
-        sizes["original"] = (graph.num_nodes(), graph.num_edges())
-
+    graph = filter_to_term_corpus(graph, kb=kb if cfg.expand else None)
     if cfg.expand:
-        if kb is None:
-            raise ValueError("expand=True requires a KB edge DataFrame")
-        graph = expand_graph(graph, kb, sink_scope=cfg.sink_scope)
-        if cfg.collect_sizes:
-            sizes["expanded"] = (graph.num_nodes(), graph.num_edges())
-
+        graph = expand_graph(graph, kb)
     if cfg.compress is not None:
         kind, ratio = cfg.compress
         if kind == "msp":
             graph = msp_compress(graph, beta=ratio, seed=cfg.seed)
-        elif kind == "ssum":
-            graph = ssum_like_compress(graph, ratio=ratio, seed=cfg.seed)
         else:
-            raise ValueError(f"unknown compression {kind!r}")
-        if cfg.collect_sizes:
-            sizes["compressed"] = (graph.num_nodes(), graph.num_edges())
+            graph = ssum_like_compress(graph, ratio=ratio, seed=cfg.seed)
 
-    walks = generate_walks(
-        graph, num_walks=cfg.num_walks, walk_length=cfg.walk_length, seed=cfg.seed
-    ).cache()
-    emb = train_embeddings(
-        walks,
-        vector_size=cfg.vector_size,
-        window=cfg.window,
-        seed=cfg.seed,
-        max_iter=cfg.w2v_iter,
-    ).cache()
-
-    q_emb = emb.join(
-        graph.doc_nodes(query_corpus.name).select(F.col("id").alias("node")), "node"
-    )
-    t_emb = emb.join(
-        graph.doc_nodes(target_corpus.name).select(F.col("id").alias("node")), "node"
-    )
-    ranked = top_k_matches(q_emb, t_emb, k=cfg.k)
-    matches = ranked.select(
-        strip_prefix("query", query_corpus.name).alias("query"),
-        strip_prefix("target", target_corpus.name).alias("target"),
-        "score",
-        "rank",
-    ).cache()
-    matches.count()  # materialize so the walk/embedding caches can go
-    walks.unpersist()
+    emb = embed_graph(graph, cfg)
+    matches = match_documents(emb, graph, query_corpus, target_corpus, cfg.k).cache()
+    matches.count()  # materialize so the embedding cache can go
     emb.unpersist()
-    return TDMatchResult(matches=matches, graph_sizes=sizes, embeddings=emb, graph=graph)
+    return TDMatchResult(matches=matches)

@@ -10,6 +10,7 @@ from repro.core.compress import (
     ssum_like_compress,
 )
 from repro.core.graph import Graph, TableCorpus, TextCorpus, build_graph
+from repro.datasets import imdb
 
 
 # a diamond with a pendant: a-b, a-c, b-d, c-d, d-e
@@ -114,6 +115,23 @@ class TestMsp:
         ea = sorted((r["src"], r["dst"]) for r in a.edges.collect())
         eb = sorted((r["src"], r["dst"]) for r in b.edges.collect())
         assert ea == eb
+
+    def test_msp_independent_of_row_order(self, spark):
+        """The same graph with its rows repartitioned and reversed keeps the
+        same edges: the sampled pairs must not follow physical row order."""
+        sc = imdb.generate(spark, scale=0.05, seed=7)
+        g = build_graph(spark, sc.reviews, sc.movies_wt)
+        shuffled = Graph(
+            g.nodes.repartition(3).orderBy(F.col("id").desc()),
+            g.edges.repartition(2).orderBy(F.col("src").desc(), F.col("dst").desc()),
+            g.term_corpus,
+        )
+
+        def kept(graph):
+            out = msp_compress(graph, beta=0.5, seed=7)
+            return sorted((r["src"], r["dst"]) for r in out.edges.collect())
+
+        assert kept(g) == kept(shuffled)
 
     def test_needs_two_corpora(self, spark, small_graph):
         only = small_graph.subgraph(

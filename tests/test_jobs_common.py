@@ -2,7 +2,7 @@
 import pandas as pd
 import pytest
 
-from jobs.common import ranking_row, timed
+from jobs.common import ranking_row
 
 
 class TestRankingRow:
@@ -30,13 +30,6 @@ class TestRankingRow:
         assert row["MRR"] == pytest.approx(0.333, abs=1e-3)
 
 
-class TestTimed:
-    def test_returns_result_and_elapsed(self):
-        out, secs = timed(lambda a, b: a + b, 2, b=3)
-        assert out == 5
-        assert secs >= 0
-
-
 class TestStructuredPipelineSmoke:
     def test_audit_end_to_end_tiny(self, spark):
         """Text-to-structured-text through the full pipeline at micro scale
@@ -56,3 +49,18 @@ class TestStructuredPipelineSmoke:
         # every predicted target is a real concept id
         ids = set(sc.taxonomy_pdf["concept_id"].astype(str))
         assert set(res.matches.toPandas()["target"]) <= ids
+
+
+class TestTable7Smoke:
+    def test_wrw_row_times(self, spark):
+        """Table VII's W-RW row at micro scale: both phases take time."""
+        from jobs.table7_times import _time_wrw
+        from repro.datasets import imdb
+        from repro.kb.synth_kb import prepare_synonyms
+
+        sc = imdb.generate(spark, scale=0.05, seed=7)
+        row = _time_wrw(
+            spark, sc.reviews, sc.movies_wt, prepare_synonyms(spark, sc.synonyms), window=3
+        )
+        assert row["Train"] > 0
+        assert row["Test"] > 0

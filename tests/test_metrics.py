@@ -7,36 +7,31 @@ import pytest
 from repro.core.metrics import (
     node_score,
     path_metrics,
-    ranking_metrics,
     ranking_metrics_pdf,
     root_to_node_paths,
 )
 
 
-def _ranked(spark, rows):
-    return spark.createDataFrame(pd.DataFrame(rows, columns=["query", "target", "rank"]))
+def _ranked(rows):
+    return pd.DataFrame(rows, columns=["query", "target", "rank"])
 
 
-def _truth(spark, rows):
-    return spark.createDataFrame(pd.DataFrame(rows, columns=["query", "target"]))
+def _truth(rows):
+    return pd.DataFrame(rows, columns=["query", "target"])
 
 
-class TestRankingMetricsSpark:
-    def test_perfect_single(self, spark):
-        m = ranking_metrics(
-            _ranked(spark, [("q1", "t1", 1), ("q1", "t2", 2)]),
-            _truth(spark, [("q1", "t1")]),
-            ks=(1, 5),
+class TestRankingMetrics:
+    def test_perfect_single(self):
+        m = ranking_metrics_pdf(
+            _ranked([("q1", "t1", 1), ("q1", "t2", 2)]), _truth([("q1", "t1")]), ks=(1, 5)
         )
         assert m["MRR"] == 1.0
         assert m["MAP@1"] == 1.0
         assert m["HasPositive@1"] == 1.0
 
-    def test_rank_two(self, spark):
-        m = ranking_metrics(
-            _ranked(spark, [("q1", "t2", 1), ("q1", "t1", 2)]),
-            _truth(spark, [("q1", "t1")]),
-            ks=(1, 5),
+    def test_rank_two(self):
+        m = ranking_metrics_pdf(
+            _ranked([("q1", "t2", 1), ("q1", "t1", 2)]), _truth([("q1", "t1")]), ks=(1, 5)
         )
         assert m["MRR"] == 0.5
         assert m["MAP@1"] == 0.0
@@ -44,48 +39,40 @@ class TestRankingMetricsSpark:
         assert m["MAP@5"] == 0.5
         assert m["HasPositive@5"] == 1.0
 
-    def test_unranked_query_scores_zero(self, spark):
-        m = ranking_metrics(
-            _ranked(spark, [("q1", "t1", 1)]),
-            _truth(spark, [("q1", "t1"), ("q2", "t9")]),
-            ks=(1,),
+    def test_unranked_query_scores_zero(self):
+        m = ranking_metrics_pdf(
+            _ranked([("q1", "t1", 1)]), _truth([("q1", "t1"), ("q2", "t9")]), ks=(1,)
         )
         assert m["MRR"] == 0.5  # (1.0 + 0.0) / 2
         assert m["HasPositive@1"] == 0.5
 
-    def test_multiple_relevant_ap(self, spark):
+    def test_multiple_relevant_ap(self):
         # relevant at ranks 1 and 3 of 2 relevant: AP@5 = (1/1 + 2/3)/2
-        m = ranking_metrics(
-            _ranked(spark, [("q", "a", 1), ("q", "x", 2), ("q", "b", 3)]),
-            _truth(spark, [("q", "a"), ("q", "b")]),
+        m = ranking_metrics_pdf(
+            _ranked([("q", "a", 1), ("q", "x", 2), ("q", "b", 3)]),
+            _truth([("q", "a"), ("q", "b")]),
             ks=(5,),
         )
         assert m["MAP@5"] == pytest.approx((1 + 2 / 3) / 2)
 
-    def test_map_truncation_denominator(self, spark):
+    def test_map_truncation_denominator(self):
         # 3 relevant but k=1: AP@1 = 1/ min(3,1) = 1 when hit at rank 1
-        m = ranking_metrics(
-            _ranked(spark, [("q", "a", 1)]),
-            _truth(spark, [("q", "a"), ("q", "b"), ("q", "c")]),
-            ks=(1,),
+        m = ranking_metrics_pdf(
+            _ranked([("q", "a", 1)]), _truth([("q", "a"), ("q", "b"), ("q", "c")]), ks=(1,)
         )
         assert m["MAP@1"] == 1.0
 
-    def test_empty_truth_raises(self, spark):
-        with pytest.raises(Exception):
-            ranking_metrics(
-                _ranked(spark, [("q", "a", 1)]),
-                _truth(spark, []),
-                ks=(1,),
-            )
+    def test_empty_truth_raises(self):
+        with pytest.raises(ValueError):
+            ranking_metrics_pdf(_ranked([("q", "a", 1)]), _truth([]), ks=(1,))
 
     def test_mrr_against_oracle(self, spark):
         """Cross-check MRR with a DuckDB SQL formulation."""
         from repro.oracle import assert_equivalent
 
-        ranked = [("q1", "a", 1), ("q1", "b", 2), ("q2", "b", 1), ("q2", "a", 2)]
-        truth = [("q1", "b"), ("q2", "b")]
-        m = ranking_metrics(_ranked(spark, ranked), _truth(spark, truth), ks=(1,))
+        ranked = _ranked([("q1", "a", 1), ("q1", "b", 2), ("q2", "b", 1), ("q2", "a", 2)])
+        truth = _truth([("q1", "b"), ("q2", "b")])
+        m = ranking_metrics_pdf(ranked, truth, ks=(1,))
         mrr_df = spark.createDataFrame(pd.DataFrame({"mrr": [m["MRR"]]}))
         sql = """
             SELECT AVG(rr) AS mrr FROM (
@@ -98,18 +85,38 @@ class TestRankingMetricsSpark:
                 GROUP BY t.query
             )
         """
-        assert_equivalent(
-            mrr_df,
-            sql,
-            ranked=pd.DataFrame(ranked, columns=["query", "target", "rank"]),
-            truth=pd.DataFrame(truth, columns=["query", "target"]),
-        )
+        assert_equivalent(mrr_df, sql, ranked=ranked, truth=truth)
 
 
-class TestPandasSparkParity:
+def _ranking_sql(ks):
+    """MRR, MAP@k and HasPositive@k over all queries in ``truth``, in SQL."""
+    per_k = ",\n".join(
+        f"COALESCE(SUM(CASE WHEN h.rank <= {k} THEN h.n_hit * 1.0 / h.rank END), 0.0)"
+        f" / LEAST(q.n_rel, {k}) AS ap_{k},"
+        f" CASE WHEN MIN(h.rank) <= {k} THEN 1.0 ELSE 0.0 END AS hp_{k}"
+        for k in ks
+    )
+    cols = ", ".join(f"AVG(ap_{k}) AS map_{k}, AVG(hp_{k}) AS hp_{k}" for k in ks)
+    return f"""
+        WITH gold AS (SELECT DISTINCT query, target FROM truth),
+             q AS (SELECT query, COUNT(*) AS n_rel FROM gold GROUP BY query),
+             h AS (SELECT r.query, r.rank,
+                          ROW_NUMBER() OVER (PARTITION BY r.query ORDER BY r.rank) AS n_hit
+                   FROM ranked r JOIN gold g ON r.query = g.query AND r.target = g.target),
+             per_q AS (SELECT q.query, COALESCE(1.0 / MIN(h.rank), 0.0) AS rr, {per_k}
+                       FROM q LEFT JOIN h ON q.query = h.query
+                       GROUP BY q.query, q.n_rel)
+        SELECT AVG(rr) AS mrr, {cols} FROM per_q
+    """
+
+
+class TestRankingMetricsOracle:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_random_inputs_agree(self, spark, seed):
+    def test_random_inputs_match_sql(self, spark, seed):
+        """MRR, MAP@k and HasPositive@k == their DuckDB SQL formulation."""
         import numpy as np
+
+        from repro.oracle import assert_equivalent
 
         rng = np.random.default_rng(seed)
         queries = [f"q{i}" for i in range(8)]
@@ -121,14 +128,16 @@ class TestPandasSparkParity:
         truth_rows = [
             (q, targets[int(i)]) for q in queries for i in rng.choice(15, size=2, replace=False)
         ]
-        ranked_pdf = pd.DataFrame(ranked_rows, columns=["query", "target", "rank"])
-        truth_pdf = pd.DataFrame(truth_rows, columns=["query", "target"])
-        m_spark = ranking_metrics(
-            spark.createDataFrame(ranked_pdf), spark.createDataFrame(truth_pdf), ks=(1, 5)
+        ranked, truth = _ranked(ranked_rows), _truth(truth_rows)
+        ks = (1, 5)
+        m = ranking_metrics_pdf(ranked, truth, ks=ks)
+        got = {"mrr": [m["MRR"]]}
+        for k in ks:
+            got[f"map_{k}"] = [m[f"MAP@{k}"]]
+            got[f"hp_{k}"] = [m[f"HasPositive@{k}"]]
+        assert_equivalent(
+            spark.createDataFrame(pd.DataFrame(got)), _ranking_sql(ks), ranked=ranked, truth=truth
         )
-        m_pdf = ranking_metrics_pdf(ranked_pdf, truth_pdf, ks=(1, 5))
-        for k in m_spark:
-            assert m_spark[k] == pytest.approx(m_pdf[k]), k
 
 
 TAX = pd.DataFrame(

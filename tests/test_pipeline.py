@@ -1,12 +1,20 @@
 """End-to-end pipeline tests: invariants + the paper's headline claims at
 test scale (W-RW beats the pre-trained substitute on domain tasks, the
 toy Example 1 matches correctly, compression keeps metadata matchable)."""
+import itertools
+
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.core.metrics import ranking_metrics_pdf
-from repro.core.pipeline import TDMatchConfig, run_tdmatch
+from repro.core.pipeline import (
+    TDMatchConfig,
+    embed_graph,
+    match_documents,
+    prepare_graph,
+    run_tdmatch,
+)
 from repro.datasets import corona, imdb
 from repro.kb.synth_kb import prepare_kb, prepare_synonyms
 
@@ -26,6 +34,33 @@ def imdb_wrw(spark, imdb_sc):
         spark, imdb_sc.reviews, imdb_sc.movies_wt,
         config=TDMatchConfig(**CFG), synonyms=syn,
     )
+
+
+@pytest.fixture(scope="module")
+def imdb_msp(spark, imdb_sc):
+    return run_tdmatch(
+        spark, imdb_sc.reviews, imdb_sc.movies_wt,
+        config=TDMatchConfig(expand=True, compress=("msp", 0.5), **CFG),
+        kb=prepare_kb(spark, imdb_sc.kb),
+        synonyms=prepare_synonyms(spark, imdb_sc.synonyms),
+    )
+
+
+@pytest.fixture(scope="module")
+def imdb_table8(spark, imdb_sc):
+    """Table VIII's Original / Expanded / MSP(0.5) graphs, label -> graph,
+    branched from one prepared graph as the Table VIII job does."""
+    from jobs.table8_compression import variant_graphs
+
+    base = prepare_graph(
+        spark, imdb_sc.reviews, imdb_sc.movies_wt,
+        synonyms=prepare_synonyms(spark, imdb_sc.synonyms),
+    )
+    return dict(itertools.islice(variant_graphs(base, prepare_kb(spark, imdb_sc.kb)), 3))
+
+
+def _ordered(matches: pd.DataFrame) -> pd.DataFrame:
+    return matches.sort_values(["query", "rank"]).reset_index(drop=True)
 
 
 class TestPipelineInvariants:
@@ -56,42 +91,52 @@ class TestPipelineInvariants:
         pd.testing.assert_frame_equal(a, b)
 
     def test_expand_requires_kb(self, spark, imdb_sc):
-        with pytest.raises(ValueError):
-            run_tdmatch(
-                spark, imdb_sc.reviews, imdb_sc.movies_wt,
-                config=TDMatchConfig(expand=True, **CFG),
+        """A bad config fails before any Spark job runs."""
+        sc = spark.sparkContext
+        for i, bad in enumerate(
+            [TDMatchConfig(expand=True, **CFG), TDMatchConfig(compress=("zip", 0.5), **CFG)]
+        ):
+            group = f"bad-config-{i}"
+            sc.setJobGroup(group, group)
+            try:
+                with pytest.raises(ValueError):
+                    run_tdmatch(spark, imdb_sc.reviews, imdb_sc.movies_wt, config=bad)
+            finally:
+                sc.setLocalProperty("spark.jobGroup.id", None)
+            assert sc.statusTracker().getJobIdsForGroup(group) == []
+
+    def test_collect_sizes(self, imdb_table8):
+        assert list(imdb_table8) == ["Original", "Expanded", "MSP(0.5)"]
+        for graph in imdb_table8.values():
+            assert graph.num_nodes() > 0 and graph.num_edges() > 0
+
+    def test_compression_sizes_shrink(self, imdb_table8):
+        assert imdb_table8["MSP(0.5)"].num_edges() <= imdb_table8["Expanded"].num_edges()
+
+    def test_table8_branches_match_run_tdmatch(
+        self, spark, imdb_sc, imdb_wrw, imdb_msp, imdb_table8
+    ):
+        """Table VIII's variants, branched from one prepared graph, rank
+        exactly as a fresh run_tdmatch with the matching config."""
+        q, t = imdb_sc.reviews, imdb_sc.movies_wt
+        expanded = run_tdmatch(
+            spark, q, t, config=TDMatchConfig(expand=True, **CFG),
+            kb=prepare_kb(spark, imdb_sc.kb),
+            synonyms=prepare_synonyms(spark, imdb_sc.synonyms),
+        )
+        fresh = {"Original": imdb_wrw, "Expanded": expanded, "MSP(0.5)": imdb_msp}
+        assert list(imdb_table8) == list(fresh)
+        cfg = TDMatchConfig(**CFG)
+        for label, graph in imdb_table8.items():
+            emb = embed_graph(graph, cfg)
+            got = match_documents(emb, graph, q, t, cfg.k).toPandas()
+            emb.unpersist()
+            pd.testing.assert_frame_equal(
+                _ordered(got), _ordered(fresh[label].matches.toPandas()), obj=label
             )
 
-    def test_collect_sizes(self, spark, imdb_sc):
-        kb = prepare_kb(spark, imdb_sc.kb)
-        res = run_tdmatch(
-            spark, imdb_sc.reviews, imdb_sc.movies_wt,
-            config=TDMatchConfig(expand=True, collect_sizes=True, **CFG), kb=kb,
-        )
-        assert set(res.graph_sizes) == {"original", "expanded"}
-        for n, e in res.graph_sizes.values():
-            assert n > 0 and e > 0
-
-    def test_compression_sizes_shrink(self, spark, imdb_sc):
-        kb = prepare_kb(spark, imdb_sc.kb)
-        res = run_tdmatch(
-            spark, imdb_sc.reviews, imdb_sc.movies_wt,
-            config=TDMatchConfig(
-                expand=True, compress=("msp", 0.5), collect_sizes=True, **CFG
-            ),
-            kb=kb,
-        )
-        n_exp, e_exp = res.graph_sizes["expanded"]
-        n_c, e_c = res.graph_sizes["compressed"]
-        assert e_c <= e_exp
-
-    def test_compressed_still_ranks_all_queries(self, spark, imdb_sc):
-        kb = prepare_kb(spark, imdb_sc.kb)
-        res = run_tdmatch(
-            spark, imdb_sc.reviews, imdb_sc.movies_wt,
-            config=TDMatchConfig(expand=True, compress=("msp", 0.5), **CFG), kb=kb,
-        )
-        pdf = res.matches.toPandas()
+    def test_compressed_still_ranks_all_queries(self, imdb_sc, imdb_msp):
+        pdf = imdb_msp.matches.toPandas()
         assert set(pdf["query"].astype(int)) == set(imdb_sc.reviews_pdf["rid"])
 
 
